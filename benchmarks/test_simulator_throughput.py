@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.cache.cache import CacheConfig, FullyAssociativeLRU, SetAssociativeCache
 from repro.cache.emulator import DragonheadConfig
+from repro.cache.fastlru import FastLRUKernel
 from repro.cache.replacement import LRUPolicy
 from repro.core.cosim import CoSimPlatform
 from repro.core.softsdv import GuestWorkload
@@ -101,6 +102,93 @@ def test_chunked_lru_speedup_over_seed_path():
     )
     speedup = seed_time / fast_time
     assert speedup >= 5.0, f"chunked LRU speedup {speedup:.2f}x < 5x"
+
+
+def _paths_agree(make_kernel, tags, sets, repeats: int = 3) -> tuple[float, float]:
+    """Best-of-``repeats`` (loop, numpy) probe times of one batch.
+
+    Each timing starts from a fresh ``make_kernel()``; the two paths
+    must agree on hits, evictions and the final directory.
+    """
+    best = {}
+    for vectorized in (False, True):
+        runs = []
+        for _ in range(repeats):
+            kernel = make_kernel()
+            start = time.perf_counter()
+            result = kernel._batch(tags, sets, vectorized=vectorized)
+            runs.append((time.perf_counter() - start, result, kernel.dump_state()))
+        best[vectorized] = min(runs, key=lambda run: run[0])
+    loop_time, loop_result, loop_state = best[False]
+    numpy_time, numpy_result, numpy_state = best[True]
+    assert np.array_equal(loop_result.hits, numpy_result.hits)
+    assert loop_result.evictions == numpy_result.evictions
+    for name in ("lengths", "tags"):
+        assert np.array_equal(loop_state[name], numpy_state[name])
+    return loop_time, numpy_time
+
+
+def test_probe_path_crossover(bench_record):
+    """Dict loop vs numpy path by batch size, from empty and carried.
+
+    The numbers behind ``fastlru._VECTOR_MIN_BATCH`` and
+    ``_VECTOR_MAX_RESIDENT_PER_ACCESS``: a zipf stream over 8 MB into a
+    1 MB 16-way cache (1024 sets), batches of ``n`` distinct-neighbour
+    accesses, once into an empty kernel and once into a full one
+    (~16 k resident lines).  Reports the loop/numpy time ratio per
+    size; asserts only that both paths agree.
+    """
+    num_sets, assoc = 1024, 16
+    lines = zipf_random(
+        Region(0, 8 * MB), count=300_000, rng=np.random.default_rng(21)
+    ).lines(64)
+    lines = lines[np.flatnonzero(np.diff(lines, prepend=lines[0] + 1))]
+    warm = FastLRUKernel(num_sets, assoc)
+    warm.lookup_batch(lines[:100_000], lines[:100_000] & np.uint64(num_sets - 1))
+    warm_state = warm.dump_state()
+
+    def carried() -> FastLRUKernel:
+        kernel = FastLRUKernel(num_sets, assoc)
+        kernel.load_state(warm_state)
+        return kernel
+
+    ratios = {}
+    for n in (1024, 2048, 4096, 8192, 16384, 65536):
+        batch = lines[100_000 : 100_000 + n]
+        sets = batch & np.uint64(num_sets - 1)
+        for label, make_kernel in (
+            ("empty", lambda: FastLRUKernel(num_sets, assoc)),
+            ("carried", carried),
+        ):
+            loop_time, numpy_time = _paths_agree(make_kernel, batch, sets)
+            ratios[f"{label}_{n}_loop_over_numpy"] = round(loop_time / numpy_time, 2)
+    bench_record("fastlru_crossover", resident=warm.resident_count(), **ratios)
+
+
+def test_numpy_probe_on_adversarial_windows(bench_record):
+    """Reuse patterns whose window scans would be quadratic.
+
+    A cyclic A+1-line pattern in one set (every window holds A lines)
+    and k lines re-referenced after a long two-line alternation (k
+    windows of ~n/2 accesses each) push the numpy path onto its
+    merge-sort dominance count.  Same-run timing against the dict loop;
+    the ratio is reported, not gated.
+    """
+    assoc = 16
+    cyclic = np.resize(np.arange(assoc + 1, dtype=np.uint64), 200_000)
+    head = np.arange(2, 50_002, dtype=np.uint64)
+    alternation = np.concatenate(
+        [head, np.resize(np.array([0, 1], dtype=np.uint64), 100_000), head]
+    )
+    record = {}
+    for name, tags in (("cyclic", cyclic), ("alternation", alternation)):
+        loop_time, numpy_time = _paths_agree(
+            lambda: FastLRUKernel(1, assoc), tags, None
+        )
+        record[f"{name}_loop_ms"] = round(loop_time * 1e3, 1)
+        record[f"{name}_numpy_ms"] = round(numpy_time * 1e3, 1)
+        record[f"{name}_loop_over_numpy"] = round(loop_time / numpy_time, 2)
+    bench_record("fastlru_adversarial", **record)
 
 
 def test_fully_associative_lru_throughput(benchmark):

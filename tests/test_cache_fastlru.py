@@ -6,8 +6,11 @@ on any access sequence.  These tests replay identical random and
 workload-shaped traces through both implementations (and, for the
 single-set geometry, through the ``FullyAssociativeLRU`` oracle) and
 compare every observable: per-access outcomes, eviction counts, full
-``CacheStats`` including the per-core dictionaries, and the final
-recency order of every set.
+``CacheStats`` including the per-core dictionaries, and the recency
+order of every set.  Batches report hits and an eviction count, not
+victims, so victims are compared per access through the scalar
+``lookup`` and the batch path's victim order through ``resident_tags``
+after every batch.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ def workload_shaped_lines(count: int, seed: int) -> np.ndarray:
 
 
 def replay_reference(
-    policy: LRUPolicy, lines: list[int], set_mask: int
+    policy: LRUPolicy | FastLRUKernel, lines: list[int], set_mask: int
 ) -> tuple[list[bool], list[int], int]:
-    """Drive LRUPolicy one access at a time (the seed implementation)."""
+    """Drive a policy's scalar ``lookup`` one access at a time."""
     hits: list[bool] = []
     victims: list[int] = []
     evictions = 0
@@ -85,29 +88,28 @@ class TestExactEquivalence:
         lines = workload_shaped_lines(1_000_000, seed=11)
         assert lines.size >= 1_000_000
         kernel = FastLRUKernel(num_sets, assoc)
+        scalar = FastLRUKernel(num_sets, assoc)
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
         # Replay in chunks so kernel state carries across batch calls,
         # the way trace streams reach the cache in production.
-        total_evictions = 0
-        cursor = 0
-        ref_hits, ref_victims, ref_evictions = replay_reference(
-            reference, lines.tolist(), set_mask
-        )
         for chunk in np.array_split(lines, 16):
-            result = kernel.lookup_batch(
-                chunk, chunk & np.uint64(set_mask), collect_victims=True
+            chunk_lines = chunk.tolist()
+            ref_hits, ref_victims, ref_evictions = replay_reference(
+                reference, chunk_lines, set_mask
             )
-            n = len(chunk)
-            assert result.hits.tolist() == ref_hits[cursor : cursor + n]
-            assert result.victims.tolist() == ref_victims[cursor : cursor + n]
-            total_evictions += result.evictions
-            cursor += n
-        assert total_evictions == ref_evictions
-        for set_index in range(num_sets):
-            assert kernel.resident_tags(set_index) == reference.resident_tags(
-                set_index
-            ), f"recency order diverged in set {set_index}"
+            assert replay_reference(scalar, chunk_lines, set_mask) == (
+                ref_hits,
+                ref_victims,
+                ref_evictions,
+            )
+            result = kernel.lookup_batch(chunk, chunk & np.uint64(set_mask))
+            assert result.hits.tolist() == ref_hits
+            assert result.evictions == ref_evictions
+            for set_index in range(num_sets):
+                assert kernel.resident_tags(set_index) == reference.resident_tags(
+                    set_index
+                ), f"recency order diverged in set {set_index}"
 
     def test_cache_stats_equivalence_including_per_core(self):
         """Fast path and forced seed path agree on every counter."""
@@ -178,17 +180,22 @@ class TestExactEquivalence:
         lines = scan.lines(LINE)
         assert np.count_nonzero(lines[1:] == lines[:-1])  # collapse engages
         kernel = FastLRUKernel(num_sets, assoc)
+        scalar = FastLRUKernel(num_sets, assoc)
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
-        result = kernel.lookup_batch(
-            lines, lines & np.uint64(set_mask), collect_victims=True
-        )
+        result = kernel.lookup_batch(lines, lines & np.uint64(set_mask))
         ref_hits, ref_victims, ref_evictions = replay_reference(
             reference, lines.tolist(), set_mask
         )
+        assert replay_reference(scalar, lines.tolist(), set_mask) == (
+            ref_hits,
+            ref_victims,
+            ref_evictions,
+        )
         assert result.hits.tolist() == ref_hits
-        assert result.victims.tolist() == ref_victims
         assert result.evictions == ref_evictions
+        for set_index in range(num_sets):
+            assert kernel.resident_tags(set_index) == reference.resident_tags(set_index)
 
     @pytest.mark.parametrize("num_sets,assoc", [(2, 256), (1, 4096)])
     def test_large_associativity_geometry(self, num_sets, assoc):
@@ -197,15 +204,20 @@ class TestExactEquivalence:
             Region(0, 4 * MB), count=60_000, rng=np.random.default_rng(31)
         ).lines(LINE)
         kernel = FastLRUKernel(num_sets, assoc)
+        scalar = FastLRUKernel(num_sets, assoc)
         reference = LRUPolicy(num_sets, assoc)
         set_mask = num_sets - 1
         sets = lines & np.uint64(set_mask) if num_sets > 1 else None
-        result = kernel.lookup_batch(lines, sets, collect_victims=True)
+        result = kernel.lookup_batch(lines, sets)
         ref_hits, ref_victims, ref_evictions = replay_reference(
             reference, lines.tolist(), set_mask
         )
+        assert replay_reference(scalar, lines.tolist(), set_mask) == (
+            ref_hits,
+            ref_victims,
+            ref_evictions,
+        )
         assert result.hits.tolist() == ref_hits
-        assert result.victims.tolist() == ref_victims
         assert result.evictions == ref_evictions
         for set_index in range(num_sets):
             assert kernel.resident_tags(set_index) == reference.resident_tags(set_index)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.cache.emulator import DragonheadConfig
+from repro.cache.fastlru import _VECTOR_MIN_BATCH, FastLRUKernel
 from repro.core.cosim import CoSimPlatform
 from repro.harness import cli
 from repro.harness.replay import (
@@ -87,7 +88,7 @@ class TestReplayEquivalence:
         assert misses == sorted(misses, reverse=True)
 
 
-def _adversarial_log() -> ReplayLog:
+def _adversarial_log(bulk_segments: int = 0) -> ReplayLog:
     """A hand-built log exercising the batched pipeline's edge cases.
 
     Single-access segments interleave with multi-thousand-access
@@ -95,6 +96,8 @@ def _adversarial_log() -> ReplayLog:
     run walks consecutive lines across all four banks, and progress
     reports land one cycle short of, exactly on, and several windows
     past the 50 000-cycle boundary — including a zero-delta repeat.
+    ``bulk_segments`` appends that many 2048-access segments, cores
+    alternating, at the end.
     """
     rng = np.random.default_rng(31)
     addresses: list[np.ndarray] = []
@@ -133,6 +136,8 @@ def _adversarial_log() -> ReplayLog:
     progress(9_500, 260_000)  # zero-cycle repeat: counters hold
     data(511, 2)
     progress(12_000, 312_345)
+    for segment in range(bulk_segments):
+        data(2_048, segment % 2)
     return ReplayLog(
         workload="ADVERSARIAL",
         cores=4,
@@ -161,6 +166,35 @@ class TestAdversarialStream:
                 checkpoint_every=1 << 30,
                 checkpoint_path=str(tmp_path / "never-due.ckpt"),
             )
+            assert batched == per_access, f"paths diverged at {config}"
+
+    def test_numpy_bank_probes_equal_per_access(self, tmp_path, monkeypatch):
+        """The same differential with per-bank batches past the numpy
+        path's threshold: the batched run probes each bank once with
+        the whole stream (numpy path), the per-access loop probes it
+        one 2048-access segment at a time (dict loop)."""
+        log = _adversarial_log(bulk_segments=12)
+        vectorized_calls = []
+        probe = FastLRUKernel._probe_vectorized
+
+        def spy(kernel, tags, sets):
+            vectorized_calls.append(tags.size)
+            return probe(kernel, tags, sets)
+
+        monkeypatch.setattr(FastLRUKernel, "_probe_vectorized", spy)
+        for config in GEOMETRIES:
+            vectorized_calls.clear()
+            batched = replay(log, config)
+            assert len(vectorized_calls) == 4, "every bank should take the numpy path"
+            assert min(vectorized_calls) >= _VECTOR_MIN_BATCH
+            vectorized_calls.clear()
+            per_access = replay(
+                log,
+                config,
+                checkpoint_every=1 << 30,
+                checkpoint_path=str(tmp_path / "never-due.ckpt"),
+            )
+            assert not vectorized_calls
             assert batched == per_access, f"paths diverged at {config}"
 
     def test_batched_run_passes_sample_audit(self):
