@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import time
 
-from repro.core.cosim import CoSimPlatform
+from repro.cache.emulator import DragonheadEmulator
+from repro.core.fsb import FrontSideBus
+from repro.core.softsdv import SoftSDV
 from repro.harness.replay import capture_replay_log, replay, size_sweep_configs
 from repro.trace.cache import TraceCache
 from repro.units import MB
@@ -33,7 +35,12 @@ def _run_baseline() -> float:
     guest = get_workload(WORKLOAD).kernel_guest()
     start = time.perf_counter()
     for config in size_sweep_configs(SWEEP_SIZES):
-        CoSimPlatform(config).run(guest, CORES)
+        # SoftSDV drives the emulator over a live bus, once per size.
+        bus = FrontSideBus()
+        emulator = DragonheadEmulator(config)
+        bus.attach(emulator)
+        SoftSDV(bus).run_workload(guest, CORES)
+        emulator.read_performance_data()
     return time.perf_counter() - start
 
 

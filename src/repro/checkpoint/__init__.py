@@ -1,14 +1,17 @@
 """Checkpoint/resume for long co-simulation points.
 
-PR 3 made sweeps survive crashed *points*; this package makes a single
-point survive its own death.  A snapshot captures everything the
-deterministic replay of a run depends on — DEX scheduler position and
-per-core counters, the AF's protocol session state (including the
-codec's stashed wide-payload words), the CC banks' full directory
+The sweep supervisor makes sweeps survive crashed *points*; this
+package makes a single point survive its own death.  Every run —
+``CoSimPlatform.run`` and ``replay`` alike — executes as capture +
+replay, and snapshots are taken only at replay event boundaries.  The
+captured log is deterministic, so a snapshot holds just the replay
+position and the emulator: the AF's protocol session state (including
+the codec's stashed wide-payload words), the CC banks' full directory
 contents as dense numpy dumps, the CB sampler's window accumulators,
-and the audit oracle's shadow directories — so a resumed run continues
-*bit-identically* to one that was never interrupted (a differential
-test enforces field-for-field `CoSimResult` equality).
+and the audit oracle's shadow directories.  A resumed run re-captures
+(or re-loads) the log and continues *bit-identically* to one that was
+never interrupted (a differential test enforces field-for-field
+`CoSimResult` equality).
 
 Snapshots are versioned and CRC-32 guarded, written atomically
 (tmp + rename), and carry an identity block so a checkpoint can never

@@ -9,34 +9,24 @@ Dragonhead emulator snoops them.
 :class:`CoSimPlatform` assembles the three pieces and exposes one call,
 :meth:`run`, which executes a workload to completion on a chosen core
 count and returns the emulator's performance data, instruction-
-synchronized the way the real platform computes MPKI.
+synchronized the way the real platform computes MPKI.  ``run`` is
+capture + replay: SoftSDV drives a recording snooper (the AF's front
+half) once, and the captured stream drives the emulator through
+:func:`repro.harness.replay.replay_point`, the body every replay runs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 
-from repro.audit import AUDIT_FULL, AUDIT_OFF, OracleTap, resolve_audit_mode, run_audit
-from repro.audit.oracle import SAMPLE_EVERY
 from repro.audit.report import AuditReport
-from repro.cache.emulator import (
-    BANK_SHIFT,
-    NUM_BANKS,
-    DragonheadConfig,
-    DragonheadEmulator,
-    PerformanceData,
-)
+from repro.cache.emulator import DragonheadConfig, DragonheadEmulator, PerformanceData
 from repro.cache.stats import CacheStats
-from repro.checkpoint import DeferredInterrupt, read_snapshot, write_snapshot
 from repro.core.fsb import FrontSideBus
 from repro.cache.sampling import WindowSample
 from repro.core.softsdv import GuestWorkload, SoftSDV
-from repro.errors import AuditError, CheckpointError
-from repro.faults.report import DegradationRecord, collect_run_degradation, merge_records
+from repro.faults.report import DegradationRecord
 from repro.faults.spec import FaultSpec
-from repro.telemetry import runtime as telemetry
 
 
 @dataclass(frozen=True)
@@ -83,9 +73,17 @@ class CoSimPlatform:
 
     ``strict=False`` puts the emulator in lenient resync mode, and
     ``fault_spec`` interposes a :class:`~repro.faults.injector.FaultInjector`
-    between the bus and the emulator's snoop port — together they model
-    the paper's real operating point: a lossy channel in front of a
-    filter built to survive it.
+    in front of the emulator's snoop port — together they model the
+    paper's real operating point: a lossy channel in front of a filter
+    built to survive it.
+
+    :meth:`run` splits the pipeline at the AF FPGA: the simulator side
+    runs once into a :class:`~repro.harness.replay.ReplayLog`, which
+    then drives :attr:`emulator` through the same body
+    :func:`~repro.harness.replay.replay` runs — one execution path, so
+    a run and a replay of the same point are byte-identical.
+    :attr:`bus` and :attr:`softsdv` stay wired to the bare emulator for
+    callers that drive the platform by hand.
     """
 
     def __init__(
@@ -96,53 +94,12 @@ class CoSimPlatform:
         strict: bool = True,
         fault_spec: FaultSpec | None = None,
     ) -> None:
-        self.strict = strict
-        self.quantum = quantum
+        self.fault_spec = fault_spec
         self.bus = FrontSideBus()
         self.emulator = DragonheadEmulator(dragonhead, strict=strict)
-        self.injector = None
-        if fault_spec is not None and fault_spec.touches_bus:
-            from repro.faults.injector import FaultInjector
-
-            self.injector = FaultInjector(
-                self.emulator,
-                fault_spec,
-                point=(dragonhead.cache_size, dragonhead.line_size),
-            )
-        self.bus.attach(self.injector if self.injector is not None else self.emulator)
+        self.bus.attach(self.emulator)
         self.softsdv = SoftSDV(
             self.bus, quantum=quantum, boot_noise_accesses=boot_noise_accesses
-        )
-
-    def _identity(self, workload: GuestWorkload, cores: int, audit_mode: str) -> dict:
-        """What a checkpoint of this run must match to be resumable."""
-        return {
-            "workload": workload.name,
-            "cores": cores,
-            "config": repr(self.emulator.config),
-            "quantum": self.quantum,
-            "boot_noise": self.softsdv.boot_noise_accesses,
-            "strict": self.strict,
-            "audit": audit_mode,
-        }
-
-    def _attach_audit_oracle(self, mode: str) -> None:
-        """Hook the differential LRU oracle for the chosen audit mode.
-
-        Non-LRU replacement policies have no generic-LRU reference, so
-        they run the audit without the oracle check.
-        """
-        if mode == AUDIT_OFF or self.emulator.config.policy.lower() != "lru":
-            return
-        bank_config = self.emulator.config.bank_config(0)
-        self.emulator.attach_oracle(
-            OracleTap(
-                num_sets=bank_config.num_sets,
-                associativity=bank_config.associativity,
-                num_banks=NUM_BANKS,
-                bank_shift=BANK_SHIFT,
-                every=1 if mode == AUDIT_FULL else SAMPLE_EVERY,
-            )
         )
 
     def run(
@@ -158,112 +115,39 @@ class CoSimPlatform:
         """Run ``workload`` to completion on ``cores`` virtual cores.
 
         Args:
-            checkpoint_every: snapshot the full platform state every N
-                issued guest transactions (at the next DEX round
-                boundary).  Requires ``checkpoint_path``.
+            checkpoint_every: snapshot the emulator every N replayed
+                data transactions (at the next replay event boundary).
+                Requires ``checkpoint_path``.
             checkpoint_path: where snapshots go (atomic write-rename;
                 removed once the run completes).  Defaults to
                 ``resume_from`` when only that is given.
             resume_from: resume from this snapshot if it exists; the
-                resumed run is bit-identical to an uninterrupted one.
-                A missing file starts from scratch (first attempt of a
-                supervised point); a damaged or mismatched one raises
-                :class:`CheckpointError`.
+                simulator side is re-captured (it is deterministic) and
+                the resumed run is bit-identical to an uninterrupted
+                one.  A missing file starts from scratch (first attempt
+                of a supervised point); a damaged or mismatched one
+                raises :class:`CheckpointError`.
             audit: ``"off"``/``"sample"``/``"full"`` end-of-run
                 invariant audit; None reads ``$REPRO_AUDIT``.
                 Violations raise :class:`AuditError` in strict mode and
                 become ``audit``-source degradation records in lenient
                 mode.
         """
-        audit_mode = resolve_audit_mode(audit)
-        self._attach_audit_oracle(audit_mode)
-        if checkpoint_path is None:
-            checkpoint_path = resume_from
-        checkpointing = checkpoint_every is not None and checkpoint_path is not None
-        if checkpoint_every is not None and checkpoint_every <= 0:
-            raise CheckpointError(
-                f"checkpoint_every must be positive, got {checkpoint_every}"
-            )
-        if checkpointing and self.injector is not None:
-            raise CheckpointError(
-                "checkpointing is not supported with bus fault injection: the "
-                "injector's decision stream is positional and would diverge "
-                "on resume"
-            )
-        identity = self._identity(workload, cores, audit_mode)
-        scheduler = self.softsdv.prepare_workload(workload, cores)
-        if resume_from is not None and os.path.exists(resume_from):
-            state = read_snapshot(resume_from, expect_identity=identity)
-            scheduler.restore(state["scheduler"])
-            self.emulator.load_state_dict(state["emulator"])
-        if checkpointing:
-            guard: DeferredInterrupt | contextlib.AbstractContextManager = (
-                DeferredInterrupt()
-            )
-        else:
-            guard = contextlib.nullcontext()
-        with guard as interrupt, telemetry.span("cosim"):
-            if checkpointing:
-                last_snapshot = scheduler.transactions_issued
+        # Imported here: the replay engine sits above this module and
+        # imports CoSimResult from it.
+        from repro.harness.replay import load_or_capture, replay_point
 
-                def on_round(sched) -> None:
-                    nonlocal last_snapshot
-                    due = (
-                        sched.transactions_issued - last_snapshot
-                        >= checkpoint_every
-                    )
-                    if due or interrupt.pending:
-                        write_snapshot(
-                            checkpoint_path,
-                            {
-                                "scheduler": sched.state_dict(),
-                                "emulator": self.emulator.state_dict(),
-                            },
-                            identity,
-                        )
-                        last_snapshot = sched.transactions_issued
-                    # A held Ctrl-C is delivered only after the drain
-                    # snapshot above has landed.
-                    interrupt.deliver()
-
-                scheduler.run(on_round=on_round)
-            else:
-                scheduler.run()
-        if self.injector is not None:
-            self.injector.flush()
-        performance = self.emulator.read_performance_data()
-        degradation = collect_run_degradation(self.injector, performance)
-        audit_report: AuditReport | None = None
-        if audit_mode != AUDIT_OFF:
-            audit_report = run_audit(
-                self.emulator,
-                performance,
-                mode=audit_mode,
-                expected_instructions=scheduler.instructions_retired,
-                expected_cycles=scheduler.cycles_completed,
-            )
-            if not audit_report.ok:
-                if self.strict:
-                    raise AuditError(audit_report)
-                degradation = merge_records(
-                    degradation, audit_report.degradation_records()
-                )
-        if checkpointing:
-            # The run completed; a leftover snapshot would only invite a
-            # stale resume of a finished point.
-            try:
-                os.unlink(checkpoint_path)
-            except OSError:
-                pass
-        return CoSimResult(
-            workload=workload.name,
-            cores=cores,
-            performance=performance,
-            instructions=scheduler.instructions_retired,
-            accesses=performance.stats.accesses,
-            filtered=performance.filtered_transactions,
-            degradation=degradation,
-            audit=audit_report,
+        log, _ = load_or_capture(
+            workload, cores, self.softsdv.quantum, self.softsdv.boot_noise_accesses
+        )
+        return replay_point(
+            log,
+            self.emulator,
+            spec=self.fault_spec,
+            audit=audit,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            resume_from=resume_from,
         )
 
 

@@ -24,14 +24,10 @@ import numpy as np
 
 from repro.core.fsb import FrontSideBus, FSBTransaction
 from repro.protocol import Message, MessageCodec, MessageKind
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.telemetry import runtime as telemetry
 from repro.trace.record import AccessKind, TraceChunk
 from repro.trace.stream import StreamCursor, TraceStream
-
-#: Fast-forward bite size when replaying a stream up to a checkpointed
-#: position: bounds peak memory, since each bite's chunk is discarded.
-_FAST_FORWARD_BITE = 1 << 16
 
 
 @dataclass
@@ -100,10 +96,6 @@ class DEXScheduler:
         self.cycles_completed = 0
         self.slices_executed = 0
         self.transactions_issued = 0
-        self._cursors: dict[int, StreamCursor] | None = None
-        self._consumed: dict[int, int] = {}
-        self._active: list[int] = []
-        self._started = False
 
     # -- protocol helpers ---------------------------------------------------
 
@@ -126,44 +118,27 @@ class DEXScheduler:
 
     # -- the run loop ----------------------------------------------------------
 
-    def _start(self) -> None:
-        """Open the emulation session: pre-window noise, START, cursors."""
-        self._issue_noise()
-        self._send(Message(MessageKind.START_EMULATION))
-        self._cursors = {core.core_id: StreamCursor(core.stream) for core in self.cores}
-        self._consumed = {core.core_id: 0 for core in self.cores}
-        self._active = [core.core_id for core in self.cores]
-        self._started = True
-
-    def run(self, on_round=None) -> None:
+    def run(self) -> None:
         """Execute all virtual cores to completion.
 
         Emits: noise, START, then per slice [CORE_ID, data chunk,
         INSTRUCTIONS_RETIRED, CYCLES_COMPLETED], then STOP, then noise —
         the full Section 3.3 protocol.
-
-        Args:
-            on_round: called with the scheduler after each complete
-                rotation over the active cores, except the last.  Round
-                boundaries are the *only* consistent checkpoint points:
-                mid-round, a chunk may be on the bus whose progress
-                messages have not been sent yet.
         """
-        if not self._started:
-            self._start()
-        cursors = self._cursors
-        assert cursors is not None
+        self._issue_noise()
+        self._send(Message(MessageKind.START_EMULATION))
+        cursors = {core.core_id: StreamCursor(core.stream) for core in self.cores}
         by_id = {core.core_id: core for core in self.cores}
+        active = [core.core_id for core in self.cores]
         rounds = 0
         slices_before = self.slices_executed
         transactions_before = self.transactions_issued
-        while self._active:
+        while active:
             rounds += 1
             still_active: list[int] = []
-            for core_id in self._active:
+            for core_id in active:
                 piece = cursors[core_id].take(self.quantum)
                 if len(piece):
-                    self._consumed[core_id] += len(piece)
                     self.transactions_issued += len(piece)
                     self._send(Message(MessageKind.CORE_ID, core_id))
                     self.bus.issue_chunk(piece.with_core(core_id))
@@ -178,9 +153,7 @@ class DEXScheduler:
                     self._send_progress()
                 if not cursors[core_id].done or len(piece) == self.quantum:
                     still_active.append(core_id)
-            self._active = still_active
-            if on_round is not None and self._active:
-                on_round(self)
+            active = still_active
         self._send(Message(MessageKind.STOP_EMULATION))
         self._issue_noise()
         if telemetry.enabled():
@@ -193,75 +166,6 @@ class DEXScheduler:
             telemetry.counter("repro_dex_transactions_total").inc(
                 self.transactions_issued - transactions_before
             )
-
-    # -- checkpointing ---------------------------------------------------------
-
-    def state_dict(self) -> dict[str, object]:
-        """Scheduler position for a checkpoint (round boundary only)."""
-        return {
-            "quantum": self.quantum,
-            "instructions_retired": self.instructions_retired,
-            "cycles_completed": self.cycles_completed,
-            "slices_executed": self.slices_executed,
-            "transactions_issued": self.transactions_issued,
-            "consumed": dict(self._consumed),
-            "active": list(self._active),
-        }
-
-    def restore(self, state: dict[str, object]) -> None:
-        """Rebuild a mid-run position from :meth:`state_dict`.
-
-        The trace streams themselves are not checkpointed — they are
-        deterministic, so each core's fresh stream is fast-forwarded by
-        the number of transactions the checkpointed run had consumed.
-        The pre-window noise and the START message are *not* re-issued
-        (the AF session state is restored separately), but the noise RNG
-        is advanced past the draw the original pre-window burst made, so
-        the post-STOP noise matches the uninterrupted run's exactly.
-        """
-        if self._started:
-            raise CheckpointError(
-                "cannot restore into a scheduler that has already started"
-            )
-        if state["quantum"] != self.quantum:
-            raise CheckpointError(
-                f"checkpoint quantum {state['quantum']} does not match this "
-                f"scheduler's {self.quantum}"
-            )
-        self.instructions_retired = int(state["instructions_retired"])  # type: ignore[arg-type]
-        self.cycles_completed = int(state["cycles_completed"])  # type: ignore[arg-type]
-        self.slices_executed = int(state["slices_executed"])  # type: ignore[arg-type]
-        self.transactions_issued = int(state["transactions_issued"])  # type: ignore[arg-type]
-        self._cursors = {
-            core.core_id: StreamCursor(core.stream) for core in self.cores
-        }
-        consumed: dict[int, int] = state["consumed"]  # type: ignore[assignment]
-        self._consumed = {}
-        for core in self.cores:
-            target = int(consumed.get(core.core_id, 0))
-            cursor = self._cursors[core.core_id]
-            remaining = target
-            while remaining > 0:
-                piece = cursor.take(min(remaining, _FAST_FORWARD_BITE))
-                if len(piece) == 0:
-                    raise CheckpointError(
-                        f"stream for core {core.core_id} exhausted after "
-                        f"{target - remaining} of {target} checkpointed "
-                        f"transactions — the workload is not the one that "
-                        f"was checkpointed"
-                    )
-                remaining -= len(piece)
-            self._consumed[core.core_id] = target
-        self._active = [int(core_id) for core_id in state["active"]]  # type: ignore[union-attr]
-        if self.os_noise_accesses > 0:
-            # Burn the draw the original run's pre-window noise made.
-            self._noise_rng.integers(
-                0x7000_0000,
-                0x7800_0000,
-                size=self.os_noise_accesses,
-                dtype=np.uint64,
-            )
-        self._started = True
 
     @property
     def elapsed_seconds(self) -> float:

@@ -61,12 +61,10 @@ def records_from_counts(
 def collect_run_degradation(injector, performance) -> tuple[DegradationRecord, ...]:
     """One run's degradation: injection-site plus recovery-site records.
 
-    The single counting path shared by ``CoSimPlatform.run`` and the
-    replay engine — both used to walk the injector's records and the
-    :class:`~repro.cache.emulator.PerformanceData` degradation
-    separately; this helper is now the only place that combination
-    lives, so the two paths cannot drift.  ``injector`` may be None
-    (no fault plan on the bus).
+    The single counting path of the replay body every run goes through
+    (:func:`repro.harness.replay.replay_point`): the injector's records
+    merged with the :class:`~repro.cache.emulator.PerformanceData`
+    degradation.  ``injector`` may be None (no fault plan on the bus).
     """
     injected = injector.records if injector is not None else ()
     return merge_records(injected, performance.degradation)

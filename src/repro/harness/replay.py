@@ -1,12 +1,10 @@
-"""Single-pass multi-config replay engine for the co-simulation path.
+"""Capture + replay: the one execution path of the co-simulation.
 
-``CoSimPlatform.run`` executes the whole SoftSDV→DEX→FSB→Dragonhead
-pipeline for one cache configuration.  A design-space sweep (Figures
-4-6: 4 MB-256 MB) therefore re-runs trace generation, DEX scheduling,
-and protocol encoding once *per configuration* — faithful to the
-hardware, where reprogramming the FPGAs forces a fresh run, but pure
-waste in software: everything above the bus is independent of the
-emulated cache geometry.
+A design-space sweep (Figures 4-6: 4 MB-256 MB) on the hardware re-runs
+the whole SoftSDV→DEX→FSB→Dragonhead pipeline per configuration —
+reprogramming the FPGAs forces a fresh run — but in software that is
+pure waste: everything above the bus is independent of the emulated
+cache geometry.
 
 This engine splits the pipeline at the architectural boundary the AF
 FPGA defines.  :func:`capture_replay_log` runs the simulator side
@@ -15,12 +13,15 @@ the bus, capturing exactly what survives the address filter: the
 decoded, window-gated, core-tagged transaction stream, as compact
 columnar numpy arrays plus an event table (per-slice core tags and the
 instruction/cycle progress counters that drive window sampling).
-:func:`replay` then re-drives a fresh :class:`DragonheadEmulator`
-through its public snoop interface — protocol messages re-encoded, data
-chunks re-issued — so per-config statistics are *identical* to a fresh
-``CoSimPlatform.run``, per-core splits and 500 µs window samples
-included (``tests/test_harness_replay.py`` proves field-for-field
-equality).
+:func:`replay_point` then drives a :class:`DragonheadEmulator` through
+its public snoop interface — protocol messages re-encoded, data chunks
+re-issued — so per-config statistics are *identical* to SoftSDV
+driving the emulator on a live bus, per-core splits and 500 µs window
+samples included (``tests/test_conformance.py`` holds every route to a
+result to one digest).  :func:`replay` is that body on a fresh
+emulator, and ``CoSimPlatform.run`` is capture followed by it: there is
+no second, bus-driven copy of the emulation, checkpoint, fault or audit
+logic.
 
 :func:`replay_sweep` is the user-facing entry: capture (or load from
 the content-addressed :class:`~repro.trace.cache.TraceCache`) once,
@@ -303,8 +304,8 @@ def capture_replay_log(
 
     This is the single generation pass a whole sweep shares: workload
     trace production, DEX scheduling, and protocol encoding all happen
-    here, exactly as ``CoSimPlatform`` would drive them — just with a
-    recorder on the bus instead of an emulator.
+    here, exactly as SoftSDV drives a live bus — just with a recorder
+    on the bus instead of an emulator.
     """
     bus = FrontSideBus()
     recorder = ReplayLogRecorder()
@@ -474,17 +475,50 @@ def replay(
 ) -> CoSimResult:
     """One configuration's worth of a sweep: fresh emulator, one pass.
 
-    ``lenient`` puts the emulator in resync mode; ``spec`` interposes a
+    ``lenient`` puts the emulator in resync mode; the other arguments
+    are :func:`replay_point`'s.
+    """
+    return replay_point(
+        log,
+        DragonheadEmulator(config, strict=not lenient),
+        spec=spec,
+        audit=audit,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        resume_from=resume_from,
+    )
+
+
+def replay_point(
+    log: ReplayLog,
+    emulator: DragonheadEmulator,
+    spec: FaultSpec | None = None,
+    audit: str | None = None,
+    checkpoint_every: int | None = None,
+    checkpoint_path: str | None = None,
+    resume_from: str | None = None,
+) -> CoSimResult:
+    """Drive ``emulator`` with ``log`` and build the run's result.
+
+    The one execution path behind :func:`replay` and
+    :meth:`~repro.core.cosim.CoSimPlatform.run`; ``emulator`` is left
+    holding the run's final state.  ``spec`` interposes a
     :class:`~repro.faults.injector.FaultInjector` between the replayed
     stream and the emulator's snoop port, keyed to the grid point so
     every (workload, cores, config) gets its own deterministic fault
-    stream regardless of worker count or replay order.  ``audit`` and
-    the checkpoint knobs mirror :meth:`~repro.core.cosim.CoSimPlatform.
-    run`: the resumed replay is bit-identical to an uninterrupted one,
-    and the audit report equals the fresh run's.
+    stream regardless of worker count or replay order.
+
+    ``audit`` runs the end-of-run invariant audit
+    (``"off"``/``"sample"``/``"full"``; None reads ``$REPRO_AUDIT``).
+    ``checkpoint_every`` snapshots the emulator every N replayed data
+    transactions, at the next event boundary, into ``checkpoint_path``
+    (removed on completion); ``resume_from`` continues from such a
+    snapshot if it exists.  The resumed replay is bit-identical to an
+    uninterrupted one, and the audit report equals the fresh run's.
     """
+    config = emulator.config
+    lenient = not emulator.strict
     audit_mode = resolve_audit_mode(audit)
-    emulator = DragonheadEmulator(config, strict=not lenient)
     _attach_audit_oracle(emulator, audit_mode)
     port = emulator
     injector = None
@@ -800,7 +834,7 @@ def replay_sweep(
 
     Results are index-aligned with ``configs`` and field-for-field
     identical to ``CoSimPlatform(config, quantum, boot_noise).run(...)``
-    per configuration.
+    per configuration — the same capture, the same replay body.
     """
     log, entry_dir = load_or_capture(
         workload,

@@ -131,7 +131,8 @@ class JobServer:
         try:
             spec = JobSpec.from_json(payload.get("spec"))
         except JobSpecError as error:
-            self.counts["invalid"] += 1
+            with self._lock:
+                self.counts["invalid"] += 1
             telemetry.counter(
                 "repro_serve_requests_total", mode=str(mode), outcome="invalid"
             ).inc()
@@ -194,7 +195,8 @@ class JobServer:
             and self.trace_cache.contains(leader.spec.capture_key())
         )
         if warm:
-            self.counts["capture_warm_batches"] += 1
+            with self._lock:
+                self.counts["capture_warm_batches"] += 1
             telemetry.counter("repro_serve_dedup_total", kind="capture").inc()
         try:
             with telemetry.span("serve.batch"):
@@ -207,7 +209,8 @@ class JobServer:
                 job.error = f"{type(error).__name__}: {error}"
                 job.completed = now
                 job.capture_warm = warm
-                self.counts["failed"] += 1
+                with self._lock:
+                    self.counts["failed"] += 1
                 telemetry.counter(
                     "repro_serve_requests_total", mode=job.mode, outcome="failed"
                 ).inc()
@@ -226,7 +229,7 @@ class JobServer:
             job.capture_warm = warm
             with self._lock:
                 self._results.setdefault(job.spec.content_key(), job)
-            self.counts["completed"] += 1
+                self.counts["completed"] += 1
             telemetry.counter(
                 "repro_serve_requests_total", mode=job.mode, outcome="completed"
             ).inc()

@@ -14,7 +14,6 @@ import os
 import numpy as np
 import pytest
 
-import repro.core.cosim as cosim_module
 import repro.harness.replay as replay_module
 from repro.cache.emulator import DragonheadConfig
 from repro.checkpoint import read_snapshot, write_snapshot
@@ -72,7 +71,7 @@ class TestLiveRunResume:
             small_guest(workload), 2, audit="full"
         )
 
-        count = kill_after(monkeypatch, cosim_module, 2)
+        count = kill_after(monkeypatch, replay_module, 2)
         with pytest.raises(SimulatedKill):
             CoSimPlatform(config, quantum=512).run(
                 small_guest(workload),
@@ -83,7 +82,7 @@ class TestLiveRunResume:
             )
         assert count["n"] == 2 and os.path.exists(path)
 
-        monkeypatch.setattr(cosim_module, "write_snapshot", write_snapshot)
+        monkeypatch.setattr(replay_module, "write_snapshot", write_snapshot)
         resumed = CoSimPlatform(config, quantum=512).run(
             small_guest(workload),
             2,
@@ -220,12 +219,12 @@ class TestReplayResume:
 class TestSnapshotDamage:
     def _checkpoint(self, tmp_path, monkeypatch) -> str:
         path = str(tmp_path / "victim.ckpt")
-        kill_after(monkeypatch, cosim_module, 1)
+        kill_after(monkeypatch, replay_module, 1)
         with pytest.raises(SimulatedKill):
             CoSimPlatform(DragonheadConfig(cache_size=1 * MB), quantum=512).run(
                 small_guest("FIMI"), 2, checkpoint_every=2048, checkpoint_path=path
             )
-        monkeypatch.setattr(cosim_module, "write_snapshot", write_snapshot)
+        monkeypatch.setattr(replay_module, "write_snapshot", write_snapshot)
         return path
 
     def _resume(self, path):

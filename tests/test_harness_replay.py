@@ -1,12 +1,13 @@
 """Differential tests for the multi-config replay engine.
 
 The engine's whole value rests on one claim: replaying a captured log
-into a fresh emulator produces *exactly* the statistics a fresh
-``CoSimPlatform.run`` would — every field, per-core splits and 500 µs
-window samples included.  ``CoSimResult`` is a frozen dataclass tree
-(PerformanceData → CacheStats → per-core dicts, WindowSample list), so
-one ``==`` compares everything at once; these tests assert it across
-workloads, trace sources, and cache geometries.
+into a fresh emulator produces *exactly* the statistics SoftSDV driving
+that emulator on a live bus would (``tests/bus_reference.py``) — every
+field, per-core splits and 500 µs window samples included.
+``CoSimResult`` is a frozen dataclass tree (PerformanceData →
+CacheStats → per-core dicts, WindowSample list), so one ``==`` compares
+everything at once; these tests assert it across workloads, trace
+sources, and cache geometries.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import pytest
 
 from repro.cache.emulator import DragonheadConfig
 from repro.cache.fastlru import _VECTOR_MIN_BATCH, FastLRUKernel
-from repro.core.cosim import CoSimPlatform
 from repro.harness import cli
 from repro.harness.replay import (
     EVENT_DATA,
@@ -33,6 +33,7 @@ from repro.harness.replay import (
 from repro.trace.cache import TraceCache
 from repro.units import MB
 from repro.workloads.registry import get_workload
+from tests.bus_reference import bus_driven_run
 
 #: ≥3 workloads (different mining kernels → different trace shapes).
 WORKLOADS = ("FIMI", "RSEARCH", "MDS")
@@ -51,8 +52,8 @@ class TestReplayEquivalence:
         workload = get_workload(name)
         log = capture_replay_log(workload.kernel_guest(), cores=4)
         for config in GEOMETRIES:
-            fresh = CoSimPlatform(config).run(workload.kernel_guest(), cores=4)
-            replayed = replay(log, config)
+            fresh = bus_driven_run(workload.kernel_guest(), 4, config)
+            replayed = replay(log, config, audit="off")
             # Dataclass equality covers instructions, accesses, filtered
             # count, hit/miss/eviction totals, the per-core dicts, and
             # every window sample.
@@ -64,8 +65,8 @@ class TestReplayEquivalence:
         log = capture_replay_log(guest, cores=2)
         for config in GEOMETRIES:
             guest = workload.synthetic_guest(accesses_per_thread=8192, scale=1 / 256)
-            fresh = CoSimPlatform(config).run(guest, cores=2)
-            assert replay(log, config) == fresh
+            fresh = bus_driven_run(guest, 2, config)
+            assert replay(log, config, audit="off") == fresh
 
     def test_nondefault_quantum_and_noise(self):
         workload = get_workload("FIMI")
@@ -73,10 +74,10 @@ class TestReplayEquivalence:
         log = capture_replay_log(
             workload.kernel_guest(), cores=4, quantum=1024, boot_noise_accesses=512
         )
-        fresh = CoSimPlatform(config, quantum=1024, boot_noise_accesses=512).run(
-            workload.kernel_guest(), cores=4
+        fresh = bus_driven_run(
+            workload.kernel_guest(), 4, config, quantum=1024, boot_noise_accesses=512
         )
-        assert replay(log, config) == fresh
+        assert replay(log, config, audit="off") == fresh
 
     def test_sweep_results_align_with_configs(self):
         workload = get_workload("FIMI")

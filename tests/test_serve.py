@@ -187,6 +187,36 @@ class TestServer:
             server.submit([1, 2])
         assert excinfo.value.status == 400
 
+    def test_concurrent_invalid_submits_are_counted_exactly(self):
+        import sys
+        import threading
+
+        instance = JobServer()
+        threads, per_thread = 8, 250
+        barrier = threading.Barrier(threads)
+        bounced: list[int] = []
+
+        def hammer() -> None:
+            barrier.wait()
+            for _ in range(per_thread):
+                try:
+                    instance.submit({"spec": {"workload": "FIMI", "cache_szie": [1]}})
+                except ServeError as error:
+                    bounced.append(error.status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            workers = [threading.Thread(target=hammer) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert bounced == [400] * (threads * per_thread)
+        assert instance.counts["invalid"] == threads * per_thread
+
     def test_unknown_job_is_404(self, server):
         with pytest.raises(ServeError) as excinfo:
             server.get_job("job-999999")
