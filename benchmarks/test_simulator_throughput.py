@@ -6,15 +6,19 @@ numbers a user sizing an experiment needs.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
+import repro.cache.emulator as emulator_module
 from repro.cache.cache import CacheConfig, FullyAssociativeLRU, SetAssociativeCache
 from repro.cache.emulator import DragonheadConfig
 from repro.cache.fastlru import FastLRUKernel
 from repro.cache.replacement import LRUPolicy
 from repro.core.cosim import CoSimPlatform
 from repro.core.softsdv import GuestWorkload
+from repro.faults.spec import parse_fault_spec
+from repro.harness.replay import capture_replay_log, replay
 from repro.reuse.olken import stack_distances
 from repro.trace.generators import (
     Region,
@@ -27,6 +31,7 @@ from repro.trace.generators import (
 from repro.trace.record import TraceChunk
 from repro.trace.stream import chunk_stream
 from repro.units import KB, MB
+from repro.workloads.registry import get_workload
 
 TRACE = uniform_random(
     Region(0, 8 * MB), count=50_000, rng=np.random.default_rng(99)
@@ -163,6 +168,45 @@ def test_probe_path_crossover(bench_record):
             loop_time, numpy_time = _paths_agree(make_kernel, batch, sets)
             ratios[f"{label}_{n}_loop_over_numpy"] = round(loop_time / numpy_time, 2)
     bench_record("fastlru_crossover", resident=warm.resident_count(), **ratios)
+
+
+def test_flush_bound_tradeoff(bench_record, monkeypatch):
+    """Deferred-probe flush bound: replay time against peak memory.
+
+    The numbers behind ``emulator._FLUSH_BOUND``: a lenient,
+    fault-injected replay of a FIMI capture (4 x 128 Ki accesses) into
+    a 2 MB emulator, per bound, best of three, plus the peak of
+    tracemalloc-tracked memory (numpy buffers included) over one more
+    run.  Reports both per bound; asserts only that every bound gives
+    the same result.
+    """
+    guest = get_workload("FIMI").synthetic_guest(accesses_per_thread=131072)
+    log = capture_replay_log(guest, 4)
+    config = DragonheadConfig(cache_size=2 * MB)
+    spec = parse_fault_spec("seed=5,drop-data=0.001,dup-data=0.001,miss-window=0.05")
+    record = {}
+    results = set()
+    for label, bound in (
+        ("2^14", 1 << 14),
+        ("2^16", 1 << 16),
+        ("2^18", 1 << 18),
+        ("unbounded", 1 << 62),
+    ):
+        monkeypatch.setattr(emulator_module, "_FLUSH_BOUND", bound)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = replay(log, config, spec=spec, lenient=True, audit="off")
+            times.append(time.perf_counter() - start)
+        results.add(repr(result))
+        tracemalloc.start()
+        replay(log, config, spec=spec, lenient=True, audit="off")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        record[f"{label}_ms"] = round(min(times) * 1e3, 1)
+        record[f"{label}_peak_mb"] = round(peak / MB, 1)
+    assert len(results) == 1
+    bench_record("flush_bound", accesses=log.accesses, **record)
 
 
 def test_numpy_probe_on_adversarial_windows(bench_record):

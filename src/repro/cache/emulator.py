@@ -78,6 +78,52 @@ BANK_SHIFT = derive_bank_shift(NUM_BANKS)
 _BANK_MASK = np.uint64(NUM_BANKS - 1)
 _BANK_SHIFT_U64 = np.uint64(BANK_SHIFT)
 
+#: The deferred stream flushes once this many accesses are queued.
+#: Bigger flushes put more of each bank's probe on the FastLRU numpy
+#: path, but the queue and the probe's working set grow with them.  One
+#: perfbench ``sweep_faulty`` pass (FIMI synthetic, 4 x 256 Ki accesses,
+#: lenient with bus faults, 4 sizes), median of four, and the process's
+#: peak RSS, one process per bound, on a 2-vCPU x86-64 VM with Python
+#: 3.11 and numpy 2.4:
+#:
+#:     =========  ======  ========
+#:     bound      pass    peak RSS
+#:     =========  ======  ========
+#:     2^14       2.25 s  145 MB
+#:     2^16       1.48 s  145 MB
+#:     2^17       1.37 s  145 MB
+#:     2^18       1.31 s  145 MB
+#:     2^19       1.32 s  145 MB
+#:     2^20       1.40 s  174 MB
+#:     unbounded  1.44 s  173 MB
+#:     =========  ======  ========
+#:
+#: Probing every ~1 k-access chunk on arrival instead took 2.48 s at
+#: 146 MB.  2^18 is the fastest bound that leaves the peak where it was.
+#: ``benchmarks/test_simulator_throughput.py::test_flush_bound_tradeoff``
+#: re-measures the trade-off in one process (tracemalloc peak).
+_FLUSH_BOUND = 1 << 18
+
+
+def _concatenate(batches: list[tuple]) -> tuple:
+    """One ``(lines, kinds, cores)`` batch from queued ones.
+
+    A lone batch passes through as is; several are joined with their
+    cores expanded to per-access tags.
+    """
+    if len(batches) == 1:
+        return batches[0]
+    return (
+        np.concatenate([lines for lines, _, _ in batches]),
+        np.concatenate([kinds for _, kinds, _ in batches]),
+        np.concatenate(
+            [
+                np.broadcast_to(np.asarray(cores, dtype=np.uint16), len(lines))
+                for lines, _, cores in batches
+            ]
+        ),
+    )
+
 
 @dataclass(frozen=True, slots=True)
 class DragonheadConfig:
@@ -300,30 +346,51 @@ class DragonheadEmulator:
     missed stat windows, with every recovery reported through
     :attr:`degradation` instead of an exception — how the physical
     platform, which could not raise on a flaky bus, had to behave.
+
+    Bank probing is deferred.  The AF decodes every message and gates
+    every chunk as it arrives, but window-gated data only queues, and a
+    CYCLES_COMPLETED report only records its counters and the queue
+    length.  One flush (:meth:`_flush`) then probes the queue in a
+    single batch and replays the CB sampler from the cumulative misses
+    at each recorded report.  That is exact because Dragonhead is
+    passive: a bank's hits depend only on the order of its own
+    accesses, and a window read needs only the counters at its report.
+    The queue flushes once it holds ``_FLUSH_BOUND`` accesses, when a
+    session opens, before a single-transaction data access, and before
+    anything reads or replaces bank or sampler state (:attr:`banks`,
+    :attr:`sampler`, :attr:`stats`, :meth:`read_performance_data`,
+    :meth:`state_dict`, :meth:`reset_statistics`, ...).
     """
 
     def __init__(self, config: DragonheadConfig, strict: bool = True) -> None:
         self.strict = strict
         self._oracle = None
+        # The deferred stream: (lines, kinds, cores) batches, and the
+        # (cycles, instructions, queued accesses) of each progress
+        # report that arrived behind queued data.
+        self._pending: list[tuple[np.ndarray, np.ndarray, object]] = []
+        self._pending_count = 0
+        self._pending_progress: list[tuple[int, int, int]] = []
         self._build(config)
 
     def _build(self, config: DragonheadConfig) -> None:
         """(Re)program the FPGAs: fresh AF, CC banks, and CB sampler."""
         self.config = config
         self.af = AddressFilter(strict=self.strict)
-        self.banks = [
+        self._banks = [
             SetAssociativeCache(config.bank_config(bank)) for bank in range(NUM_BANKS)
         ]
-        self.sampler = self._new_sampler()
+        self._sampler = self._new_sampler()
         self._line_shift = config.line_size.bit_length() - 1
 
     def _new_sampler(self) -> WindowSampler:
-        """A fresh CB sampler, tapped into the live window stream.
+        """A fresh CB sampler, tapped into the window stream.
 
         With telemetry off the tap is None and the sampler behaves as an
         untapped one; with it on, every closed 500 µs window publishes
         into the registry under this emulator's geometry label — the
-        software analog of the host's periodic CB read.
+        software analog of the host's periodic CB read.  Windows close
+        when the deferred stream flushes, so they publish per flush.
         """
         return WindowSampler(
             frequency_hz=self.config.frequency_hz,
@@ -336,10 +403,26 @@ class DragonheadEmulator:
             ),
         )
 
+    @property
+    def banks(self) -> list[SetAssociativeCache]:
+        """The four CC banks, with every queued access probed."""
+        self._flush()
+        return self._banks
+
+    @property
+    def sampler(self) -> WindowSampler:
+        """The CB sampler, with every queued progress report applied."""
+        self._flush()
+        return self._sampler
+
     # -- snooping -------------------------------------------------------
 
     def snoop(self, transaction) -> None:
-        """Observe one bus transaction (message or data)."""
+        """Observe one bus transaction (message or data).
+
+        A data transaction is probed at once, on the scalar path, after
+        the queue ahead of it.
+        """
         address = transaction.address
         if MessageCodec.is_message(address):
             self._apply_message(address)
@@ -351,6 +434,7 @@ class DragonheadEmulator:
             self._oracle.observe(
                 np.array([address >> self._line_shift], dtype=np.uint64)
             )
+        self._flush()
         self._access(address, transaction.kind, self.af.current_core)
 
     def snoop_chunk(self, chunk: TraceChunk) -> None:
@@ -358,17 +442,16 @@ class DragonheadEmulator:
 
         Chunks never span DEX slice boundaries (the scheduler emits
         CORE_ID messages between slices), so the AF's current core id
-        applies to the whole chunk.
+        applies to the whole chunk.  The AF gates and tags the chunk
+        now (and an attached oracle sees it now); the banks see it at
+        the next flush.
         """
         if not self.af.emulating:
             self.af.filtered_transactions += len(chunk)
             return
         if not len(chunk):
             return
-        lines = chunk.lines(self.config.line_size)
-        if self._oracle is not None:
-            self._oracle.observe(lines)
-        self._banked_probe(lines, chunk.kinds, self.af.current_core)
+        self._enqueue(chunk, self.af.current_core)
 
     def snoop_batch(self, chunk: TraceChunk) -> None:
         """Observe a core-tagged batch of data transactions.
@@ -384,12 +467,62 @@ class DragonheadEmulator:
             return
         if not len(chunk):
             return
+        self._enqueue(chunk, chunk.cores)
+
+    def _enqueue(self, chunk: TraceChunk, cores) -> None:
+        """Queue window-gated data for the next flush."""
         lines = chunk.lines(self.config.line_size)
         if self._oracle is not None:
             self._oracle.observe(lines)
-        self._banked_probe(lines, chunk.kinds, chunk.cores)
+        self._pending.append((lines, chunk.kinds, cores))
+        self._pending_count += len(lines)
+        if self._pending_count >= _FLUSH_BOUND:
+            self._flush()
 
-    def _banked_probe(self, lines, kinds, cores, collect_hits: bool = False):
+    def _flush(self) -> None:
+        """Probe the queued stream and replay the sampler over it.
+
+        One :meth:`_banked_probe` call covers the whole queue, with
+        per-access core tags; each queued progress report then advances
+        the sampler with the counters it would have read live: the
+        bank totals before the flush plus the accesses and misses
+        queued ahead of it.
+        """
+        if not self._pending_count and not self._pending_progress:
+            return
+        pending, self._pending = self._pending, []
+        progress, self._pending_progress = self._pending_progress, []
+        self._pending_count = 0
+        base_accesses = sum(bank.stats.accesses for bank in self._banks)
+        base_misses = sum(bank.stats.misses for bank in self._banks)
+        hits = (
+            self._banked_probe(*_concatenate(pending))
+            if pending
+            else np.empty(0, dtype=bool)
+        )
+        if not progress:
+            return
+        rows = np.array(progress, dtype=np.int64)
+        offsets = rows[:, 2]
+        cumulative_misses = np.concatenate(([0], np.cumsum(~hits, dtype=np.int64)))
+        accesses = base_accesses + offsets
+        misses = base_misses + cumulative_misses[offsets]
+        sampler = self._sampler
+        if not sampler.interpolate:
+            sampler.advance_series(rows[:, 0], rows[:, 1], accesses, misses)
+            return
+        for cycles, instructions, at_accesses, at_misses in zip(
+            rows[:, 0].tolist(), rows[:, 1].tolist(), accesses.tolist(), misses.tolist()
+        ):
+            sampler.advance(
+                cycles,
+                instructions,
+                CacheStats(
+                    accesses=at_accesses, hits=at_accesses - at_misses, misses=at_misses
+                ),
+            )
+
+    def _banked_probe(self, lines, kinds, cores) -> np.ndarray:
         """Route one line batch to the CC banks, vectorized.
 
         One stable argsort groups the batch by bank; ``searchsorted``
@@ -399,8 +532,8 @@ class DragonheadEmulator:
         on — so this is bit-identical to per-access dispatch.
 
         ``cores`` may be a scalar (whole batch one core) or a
-        per-access array.  With ``collect_hits`` the per-access hit
-        mask is gathered back to stream order and returned.
+        per-access array.  Returns the per-access hit mask in stream
+        order.
         """
         bank_index = (lines & _BANK_MASK).astype(np.uint8)
         order = np.argsort(bank_index, kind="stable")
@@ -412,22 +545,15 @@ class DragonheadEmulator:
         sorted_kinds = kinds[order]
         per_access_cores = not np.isscalar(cores) and getattr(cores, "ndim", 0) > 0
         sorted_cores = cores[order] if per_access_cores else cores
-        hits_sorted = np.empty(len(lines), dtype=bool) if collect_hits else None
+        hits_sorted = np.empty(len(lines), dtype=bool)
         for b in range(NUM_BANKS):
             lo, hi = int(bounds[b]), int(bounds[b + 1])
             if lo == hi:
                 continue
             bank_cores = sorted_cores[lo:hi] if per_access_cores else sorted_cores
-            if collect_hits:
-                hits_sorted[lo:hi] = self.banks[b].probe_lines_batch(
-                    sorted_lines[lo:hi], sorted_kinds[lo:hi], bank_cores
-                )
-            else:
-                self.banks[b].access_lines_batch(
-                    sorted_lines[lo:hi], sorted_kinds[lo:hi], bank_cores
-                )
-        if not collect_hits:
-            return None
+            hits_sorted[lo:hi] = self._banks[b].probe_lines_batch(
+                sorted_lines[lo:hi], sorted_kinds[lo:hi], bank_cores
+            )
         hits = np.empty(len(lines), dtype=bool)
         hits[order] = hits_sorted
         return hits
@@ -453,12 +579,14 @@ class DragonheadEmulator:
             filtered: out-of-window transaction count to restore (what
                 the AF dropped before/around the captured session).
 
-        The 500 µs windows are aggregated by ``searchsorted`` over the
-        progress series (one cumulative-miss prefix sum supplies every
-        window's counters) instead of a per-message clock check.  Only
-        available on a strict emulator: the lenient channel model
-        (anomaly resynchronization, window interpolation) keeps the
-        per-message path.
+        The AF's counters are reconstructed arithmetically; the stream
+        and the progress rows then go through the same flush as the
+        per-event route, as one queue however long: one probe per
+        bank, and the 500 µs windows aggregated by ``searchsorted``
+        over the progress series instead of a per-message clock check.
+        Only available on a strict emulator: the lenient channel model
+        (anomaly resynchronization, window interpolation) needs to see
+        each message.
         """
         if not self.strict:
             raise ConfigurationError(
@@ -490,32 +618,28 @@ class DragonheadEmulator:
                 raise RecoverableProtocolError(
                     "cycles-completed counter moved backwards"
                 )
+        # The session opener: what an earlier session queued is probed
+        # before this one's counters restart.
+        self._flush()
         af.filtered_transactions += int(filtered)
         af.emulating = True
         af.instructions_retired = 0
         af.cycles_completed = 0
+        # The whole session is one queue, whatever the bound: its reports
+        # go in first, so a flush the data triggers applies them.
+        self._pending_progress = list(
+            zip(cycles.tolist(), instructions.tolist(), offsets.tolist())
+        )
+        core_messages = 0
         if n:
-            lines = chunk.lines(self.config.line_size)
-            if self._oracle is not None:
-                self._oracle.observe(lines)
-            hits = self._banked_probe(
-                lines, chunk.kinds, chunk.cores, collect_hits=True
-            )
+            self._enqueue(chunk, chunk.cores)
             af.current_core = int(chunk.cores[-1])
             core_messages = 1 + int(
                 np.count_nonzero(chunk.cores[1:] != chunk.cores[:-1])
             )
             telemetry.counter("repro_cosim_batched_accesses_total").inc(n)
-        else:
-            hits = np.empty(0, dtype=bool)
-            core_messages = 0
+        self._flush()
         if len(progress):
-            cumulative_misses = np.concatenate(
-                ([0], np.cumsum(~hits, dtype=np.int64))
-            )
-            self.sampler.advance_series(
-                cycles, instructions, offsets, cumulative_misses[offsets]
-            )
             af.instructions_retired = int(instructions[-1])
             af.cycles_completed = int(cycles[-1])
         # START + STOP + two counter messages per progress report +
@@ -526,17 +650,27 @@ class DragonheadEmulator:
 
     def _access(self, address: int, kind: AccessKind, core: int) -> None:
         line = address >> self._line_shift
-        bank = self.banks[line % NUM_BANKS]
+        bank = self._banks[line % NUM_BANKS]
         bank.access_line(line >> BANK_SHIFT, kind, core)
 
     def _apply_message(self, address: int) -> None:
-        message = self.af.handle_message(address)
+        af = self.af
+        message = af.handle_message(address)
         if message is None:
             return
-        if message.kind is MessageKind.CYCLES_COMPLETED:
-            self.sampler.advance(
-                self.af.cycles_completed, self.af.instructions_retired, self.stats
-            )
+        if message.kind is MessageKind.START_EMULATION:
+            # A new session restarts the progress counters; the queued
+            # reports belong to the old one.
+            self._flush()
+        elif message.kind is MessageKind.CYCLES_COMPLETED:
+            if self._pending_count:
+                self._pending_progress.append(
+                    (af.cycles_completed, af.instructions_retired, self._pending_count)
+                )
+            else:
+                self._sampler.advance(
+                    af.cycles_completed, af.instructions_retired, self.stats
+                )
 
     # -- audit oracle -----------------------------------------------------
 
@@ -557,12 +691,17 @@ class DragonheadEmulator:
     # -- checkpointing ----------------------------------------------------
 
     def state_dict(self) -> dict[str, object]:
-        """Full emulator state (AF + CC banks + CB sampler + oracle)."""
+        """Full emulator state (AF + CC banks + CB sampler + oracle).
+
+        The deferred stream is flushed first, so a checkpoint never
+        holds queued data.
+        """
+        self._flush()
         state: dict[str, object] = {
             "config": self.config,
             "af": self.af.state_dict(),
-            "banks": [bank.state_dict() for bank in self.banks],
-            "sampler": self.sampler.state_dict(),
+            "banks": [bank.state_dict() for bank in self._banks],
+            "sampler": self._sampler.state_dict(),
         }
         if self._oracle is not None:
             state["oracle"] = self._oracle.state_dict()
@@ -577,15 +716,16 @@ class DragonheadEmulator:
                 f"checkpoint emulator config {state['config']!r} does not "
                 f"match this emulator's {self.config!r}"
             )
+        self._flush()
         self.af.load_state_dict(state["af"])  # type: ignore[arg-type]
         banks = state["banks"]
-        if len(banks) != len(self.banks):  # type: ignore[arg-type]
+        if len(banks) != len(self._banks):  # type: ignore[arg-type]
             raise CheckpointError(
-                f"checkpoint has {len(banks)} CC banks, expected {len(self.banks)}"  # type: ignore[arg-type]
+                f"checkpoint has {len(banks)} CC banks, expected {len(self._banks)}"  # type: ignore[arg-type]
             )
-        for bank, bank_state in zip(self.banks, banks):  # type: ignore[arg-type]
+        for bank, bank_state in zip(self._banks, banks):  # type: ignore[arg-type]
             bank.load_state_dict(bank_state)
-        self.sampler.load_state_dict(state["sampler"])  # type: ignore[arg-type]
+        self._sampler.load_state_dict(state["sampler"])  # type: ignore[arg-type]
         if self._oracle is not None:
             if "oracle" not in state:
                 raise CheckpointError(
@@ -599,43 +739,48 @@ class DragonheadEmulator:
     @property
     def stats(self) -> CacheStats:
         """Aggregate counters across the four CC banks (what CB collects)."""
+        self._flush()
         total = CacheStats()
-        for bank in self.banks:
+        for bank in self._banks:
             total = total.merge(bank.stats)
         return total
 
     @property
     def degradation(self) -> tuple[DegradationRecord, ...]:
         """Recovered-anomaly records from the AF and the CB sampler."""
+        self._flush()
         counts = dict(self.af.anomalies)
-        if self.sampler.interpolated_windows:
-            counts["window-interpolated"] = self.sampler.interpolated_windows
+        if self._sampler.interpolated_windows:
+            counts["window-interpolated"] = self._sampler.interpolated_windows
         return records_from_counts(counts, RECOVERED)
 
     def read_performance_data(self) -> PerformanceData:
         """The host's CB read: configuration, counters, window samples."""
-        self.sampler.finalize(
-            self.af.cycles_completed, self.af.instructions_retired, self.stats
+        stats = self.stats
+        self._sampler.finalize(
+            self.af.cycles_completed, self.af.instructions_retired, stats
         )
         return PerformanceData(
             config=self.config,
-            stats=self.stats,
+            stats=stats,
             instructions_retired=self.af.instructions_retired,
             cycles_completed=self.af.cycles_completed,
-            samples=list(self.sampler.samples),
+            samples=list(self._sampler.samples),
             filtered_transactions=self.af.filtered_transactions,
             degradation=self.degradation,
         )
 
     def reset_statistics(self) -> None:
-        """Clear the CB counters without flushing cache state.
+        """Clear the CB counters, keeping cache residency.
 
         The host uses this to exclude warm-up: run a prefix of the
-        workload, clear, then measure steady-state behaviour.
+        workload, clear, then measure steady-state behaviour.  The
+        queued prefix is probed (and counted) before the clear.
         """
-        for bank in self.banks:
+        self._flush()
+        for bank in self._banks:
             bank.reset_stats()
-        self.sampler = self._new_sampler()
+        self._sampler = self._new_sampler()
 
     def reconfigure(self, config: DragonheadConfig) -> None:
         """Reprogram the FPGAs with a new cache configuration.
@@ -643,6 +788,8 @@ class DragonheadEmulator:
         Rebuilds the AF, the CC banks, and the CB sampler explicitly
         (rather than re-running ``__init__`` on a live object), so no
         emulation state — counters, residency, window samples, or the
-        AF's session flags — can survive a reconfiguration.
+        AF's session flags — can survive a reconfiguration.  The old
+        geometry's queued stream is flushed into it first.
         """
+        self._flush()
         self._build(config)

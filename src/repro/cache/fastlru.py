@@ -104,7 +104,12 @@ So a batch takes the numpy path from ``_VECTOR_MIN_BATCH`` accesses
 capture into fresh banks (~190 k collapsed accesses per bank call) and
 take the numpy path: on the repository benchmark's sweep_ladder the
 probe's self time fell from 3.07 s to 0.82 s per pass.  Per-event
-replay's small carried-state calls (~1 k accesses) stay on the loop.
+replay (lenient and fault-injected runs) defers its data and probes
+the banks once per flush of up to 2^18 accesses
+(``repro.cache.emulator._FLUSH_BOUND``), not once per ~1 k-access DEX
+segment, so its calls (~64 k accesses per bank) take the numpy path
+too: on sweep_faulty the probe went from 4096 calls and 1.24 s to 64
+calls and 0.29 s per pass.
 
 The kernel is an exact drop-in for :class:`~repro.cache.replacement.
 LRUPolicy`: identical hits, identical victims, identical order, plus

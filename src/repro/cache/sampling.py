@@ -263,9 +263,8 @@ class WindowSampler:
         Only valid in non-interpolate (strict) mode.  After a series
         the snapshot carried in ``_last_stats`` holds only the counters
         window samples read (accesses, hits, misses) — :meth:`finalize`
-        and further :meth:`advance` calls observe identical deltas, but
-        checkpoints should not be cut between a batched series and the
-        end of its run.
+        and further :meth:`advance` calls observe identical deltas, and
+        a checkpoint cut after a series carries the same snapshot.
         """
         if self.interpolate:
             from repro.errors import ConfigurationError

@@ -58,7 +58,12 @@ from repro.faults.report import collect_run_degradation, merge_records
 from repro.faults.spec import FaultSpec
 from repro.telemetry import runtime as telemetry
 from repro.protocol import Message, MessageCodec, MessageKind
-from repro.trace.cache import TraceCache, cache_key, load_validated_entry
+from repro.trace.cache import (
+    TraceCache,
+    cache_key,
+    entry_content_key,
+    load_validated_entry,
+)
 from repro.trace.record import AccessKind, TraceChunk
 from repro.harness.parallel import parallel_map, resolve_jobs
 
@@ -351,13 +356,15 @@ def replay_into(log: ReplayLog, port, on_event=None, resume=None) -> None:
 
     A bare strict :class:`DragonheadEmulator` with no event observer and
     no resume point takes the batched fast path: the whole session runs
-    as one :meth:`~DragonheadEmulator.emulate_stream` call (vectorized
-    bank routing, one batch probe per bank, window aggregation by
-    ``searchsorted``), which is bit-identical to the per-event loop —
-    the differential suite in ``tests/test_harness_replay.py`` holds
-    the two paths equal field for field.  Wrapped ports (fault
-    injectors), lenient emulators, observers, and resumed runs keep the
-    per-event loop: their semantics depend on seeing each message.
+    as one :meth:`~DragonheadEmulator.emulate_stream` call, one flush of
+    the whole stream.  Wrapped ports (fault injectors), lenient
+    emulators, observers, and resumed runs keep the per-event loop:
+    their semantics depend on seeing each message.  That loop's data
+    segments queue in the emulator and reach the banks in flushes of up
+    to ``_FLUSH_BOUND`` accesses, through the same probe-and-window path
+    ``emulate_stream`` ends in.  Both are bit-identical to a
+    per-transaction emulator (``tests/test_harness_replay.py``,
+    ``tests/test_deferred_probe.py``).
     """
     if (
         on_event is None
@@ -684,10 +691,16 @@ def load_or_capture(
 
 @dataclass(frozen=True)
 class _LogHandle:
-    """Picklable reference to a log: inline arrays or an on-disk entry."""
+    """Picklable reference to a log: inline arrays or an on-disk entry.
+
+    An on-disk handle carries the entry's :func:`entry_content_key`,
+    which is what a sweep journal keys the point by: a spilled log
+    lands in a fresh temporary directory on every run.
+    """
 
     log: ReplayLog | None = None
     entry_dir: str | None = None
+    content: str | None = None
 
     def resolve(self) -> ReplayLog:
         if self.log is not None:
@@ -732,6 +745,18 @@ def _replay_task(
 #: Tells the supervisor this task accepts a per-point checkpoint path.
 #: A function attribute survives pickling-by-reference into workers.
 _replay_task.supports_checkpoint = True  # type: ignore[attr-defined]
+
+
+def _replay_point_identity(task: tuple) -> tuple:
+    """What keys a replay point: the log's content, not its location."""
+    handle, *rest = task
+    if handle.content is None:
+        return task
+    return (handle.content, *rest)
+
+
+#: Tells the supervisor what of a task item identifies its grid point.
+_replay_task.point_identity = _replay_point_identity  # type: ignore[attr-defined]
 
 
 def replay_map(
@@ -804,7 +829,9 @@ def replay_map(
                     )
                 entry_dir = str(entry)
                 telemetry.counter("repro_replay_log_spills_total").inc()
-            handle = _LogHandle(entry_dir=entry_dir)
+            handle = _LogHandle(
+                entry_dir=entry_dir, content=entry_content_key(entry_dir)
+            )
             return parallel_map(
                 _replay_task,
                 [(handle, config, spec, lenient, audit_mode) for config in configs],

@@ -223,8 +223,14 @@ class SweepJournal:
         The item is canonicalized first: pickled dicts carry their
         insertion order, so ``{"a": 1, "b": 2}`` and ``{"b": 2, "a": 1}``
         — the same grid point — would otherwise hash to different keys
-        and ``--resume`` would re-run completed work.
+        and ``--resume`` would re-run completed work.  A task with a
+        ``point_identity`` attribute is keyed by ``point_identity(item)``
+        instead: the part of the item that names the point, without
+        transport details such as a temporary path.
         """
+        identify = getattr(task, "point_identity", None)
+        if identify is not None:
+            item = identify(item)
         return point_content_key(f"{task.__module__}.{task.__qualname__}", item)
 
     def __contains__(self, key: str) -> bool:

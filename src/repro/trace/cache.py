@@ -281,6 +281,24 @@ def load_validated_entry(
         ) from error
 
 
+def entry_content_key(entry_dir: str | os.PathLike) -> str:
+    """Address of what an entry holds, wherever and under whatever key.
+
+    A :func:`cache_key` of the manifest's metadata and its per-array
+    dtype, shape, size and CRC-32 — not the entry's key or directory —
+    so the same arrays spilled to a fresh temporary cache or stored in
+    a persistent one share it.  The CRC-32s make it an identity for
+    bookkeeping (sweep-journal points), not an authentication.
+    """
+    with open(Path(entry_dir) / MANIFEST_NAME, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    arrays = {
+        name: {field: value for field, value in spec.items() if field != "file"}
+        for name, spec in manifest["arrays"].items()
+    }
+    return cache_key({"meta": manifest["meta"], "arrays": arrays})
+
+
 def cache_key(fields: Mapping[str, object]) -> str:
     """Content address of a key-field mapping (hex SHA-256).
 

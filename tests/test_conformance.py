@@ -2,8 +2,9 @@
 
 One table of grid points — three workloads × two cache geometries —
 and one digest per point.  Each route below must reproduce the digest
-of the bus-driven reference (SoftSDV on a live bus driving a bare
-strict emulator, ``tests/bus_reference.py``):
+of the per-transaction reference (SoftSDV on a live bus driving a bare
+strict emulator that takes every data transaction on its own,
+``tests/bus_reference.py``):
 
 * ``CoSimPlatform.run``;
 * batched ``replay`` (one ``emulate_stream`` pass);
@@ -14,7 +15,11 @@ strict emulator, ``tests/bus_reference.py``):
 * supervised ``JobSpec.run`` on a single configuration.
 
 A fault row holds the lenient, fault-injected platform run to the
-fault-injected replay of the same point: there is one fault key.
+fault-injected replay of the same point: there is one fault key.  A
+second fault row holds that replay, whose emulator defers and batches
+its bank probes, to the same replay into a per-transaction emulator:
+the injector draws per chunk upstream of the emulator, so both see the
+same faults.
 """
 
 from __future__ import annotations
@@ -24,15 +29,19 @@ import functools
 import pytest
 
 import repro.harness.replay as replay_module
-from repro.cache.emulator import DragonheadConfig
+from repro.cache.emulator import DragonheadConfig, DragonheadEmulator
 from repro.checkpoint import write_snapshot
 from repro.core.cosim import CoSimPlatform
 from repro.faults.spec import parse_fault_spec
-from repro.harness.replay import capture_replay_log, replay, replay_map
+from repro.harness.replay import capture_replay_log, replay, replay_map, replay_point
 from repro.harness.supervisor import SupervisorPolicy, supervise
 from repro.serve.jobspec import BOOT_NOISE_ACCESSES, JobSpec, result_digest
 from repro.units import MB
-from tests.bus_reference import bus_driven_run
+from tests.bus_reference import (
+    PerTransactionEmulator,
+    bus_driven_run,
+    per_transaction_replay,
+)
 
 WORKLOADS = ("FIMI", "RSEARCH", "MDS")
 GEOMETRIES = (
@@ -157,3 +166,25 @@ def test_faulted_platform_run_equals_faulted_replay(workload):
     replayed = replay(capture(workload), config, spec=spec, lenient=True, audit="off")
     assert live.degraded
     assert digest(live) == digest(replayed)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize(
+    "index", range(len(GEOMETRIES)), ids=GEOMETRY_IDS
+)
+def test_faulted_replay_equals_per_transaction_faulted_replay(workload, index):
+    spec = parse_fault_spec(
+        "seed=11,drop-data=0.01,dup-data=0.01,drop-msg=0.05,"
+        "reorder-msg=0.05,miss-window=0.3"
+    )
+    config = GEOMETRIES[index]
+    log = capture(workload)
+    deferred = replay_point(
+        log, DragonheadEmulator(config, strict=False), spec=spec, audit="off"
+    )
+    reference = per_transaction_replay(
+        log, PerTransactionEmulator(config, strict=False), spec=spec
+    )
+    kinds = {record.kind for record in deferred.degradation}
+    assert {"data-drop", "data-dup", "msg-drop", "window-miss"} <= kinds
+    assert digest(deferred) == digest(reference)

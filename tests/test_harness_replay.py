@@ -33,7 +33,11 @@ from repro.harness.replay import (
 from repro.trace.cache import TraceCache
 from repro.units import MB
 from repro.workloads.registry import get_workload
-from tests.bus_reference import bus_driven_run
+from tests.bus_reference import (
+    PerTransactionEmulator,
+    bus_driven_run,
+    per_transaction_replay,
+)
 
 #: ≥3 workloads (different mining kernels → different trace shapes).
 WORKLOADS = ("FIMI", "RSEARCH", "MDS")
@@ -156,24 +160,27 @@ def _adversarial_log(bulk_segments: int = 0) -> ReplayLog:
 class TestAdversarialStream:
     def test_mixed_size_stream_batched_equals_per_access(self, tmp_path):
         """Field-for-field ``CoSimResult`` equality between the batched
-        fast path and the per-access message loop (forced by installing
-        a checkpoint observer whose interval never comes due)."""
+        fast path, the per-event message loop (forced by installing a
+        checkpoint observer whose interval never comes due) and the
+        per-transaction reference."""
         log = _adversarial_log()
         for config in GEOMETRIES:
             batched = replay(log, config)
-            per_access = replay(
+            per_event = replay(
                 log,
                 config,
                 checkpoint_every=1 << 30,
                 checkpoint_path=str(tmp_path / "never-due.ckpt"),
             )
-            assert batched == per_access, f"paths diverged at {config}"
+            reference = per_transaction_replay(log, PerTransactionEmulator(config))
+            assert batched == per_event, f"paths diverged at {config}"
+            assert batched == reference, f"paths diverged at {config}"
 
-    def test_numpy_bank_probes_equal_per_access(self, tmp_path, monkeypatch):
+    def test_numpy_bank_probes_equal_per_access(self, monkeypatch):
         """The same differential with per-bank batches past the numpy
         path's threshold: the batched run probes each bank once with
-        the whole stream (numpy path), the per-access loop probes it
-        one 2048-access segment at a time (dict loop)."""
+        the whole stream (numpy path), the per-transaction reference
+        probes every access on its own (scalar ``access_line``)."""
         log = _adversarial_log(bulk_segments=12)
         vectorized_calls = []
         probe = FastLRUKernel._probe_vectorized
@@ -189,14 +196,9 @@ class TestAdversarialStream:
             assert len(vectorized_calls) == 4, "every bank should take the numpy path"
             assert min(vectorized_calls) >= _VECTOR_MIN_BATCH
             vectorized_calls.clear()
-            per_access = replay(
-                log,
-                config,
-                checkpoint_every=1 << 30,
-                checkpoint_path=str(tmp_path / "never-due.ckpt"),
-            )
-            assert not vectorized_calls
-            assert batched == per_access, f"paths diverged at {config}"
+            reference = per_transaction_replay(log, PerTransactionEmulator(config))
+            assert not vectorized_calls, "the reference must never batch"
+            assert batched == reference, f"paths diverged at {config}"
 
     def test_batched_run_passes_sample_audit(self):
         """The differential LRU oracle, sampled, stays green over a

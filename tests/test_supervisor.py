@@ -254,6 +254,32 @@ class TestJournalResume:
         assert context.counts["journal-skip"] == 2
 
 
+    def test_uncached_sweep_resumes_from_its_journal(self, tmp_path, capsys):
+        """An uncached sweep spills its log to a fresh temporary
+        directory on every run; the journal keys its points by the
+        log's content, so ``--resume`` skips them all and prints the
+        same report."""
+        from repro.harness import cli
+
+        path = tmp_path / "journal.jsonl"
+        argv = [
+            "--workload", "FIMI", "--cores", "2", "--source", "synthetic",
+            "--accesses", "8192", "--cache", "1MB,2MB", "--trace-cache", "off",
+            "--journal", str(path),
+        ]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        records = path.read_text().splitlines()
+        assert cli.main([*argv, "--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert path.read_text().splitlines() == records
+        assert "journal-skip=2" in resumed
+        strip = lambda text: [
+            line for line in text.splitlines() if "supervisor events" not in line
+        ]
+        assert strip(resumed) == strip(first)
+
+
 class TestInterrupt:
     def test_sigint_drains_to_sweep_interrupted(self, capsys):
         context = SupervisorContext(policy=SupervisorPolicy(backoff_base=0.01))
